@@ -30,7 +30,7 @@ from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_union_find
 from ..graph.csr import Graph
 from ..runtime.faults import FaultPlan
-from ..runtime.supervisor import call_with_degradation, raise_for_events
+from ..runtime.supervisor import call_with_degradation, check_executor, raise_for_events
 
 
 def matula_approx(
@@ -61,16 +61,20 @@ def matula_approx(
         answered affirmatively here: the frozen-bound region-growing scan
         preserves the contraction certificates, so the approximation
         guarantee carries over; only the marked-edge *set* differs.
+        ``executor`` is ``"serial"`` or ``"processes"``
+        (:data:`repro.runtime.EXECUTORS`); it is checked even when
+        ``workers == 1`` leaves it unused.
     timeout, on_worker_failure, fault_plan:
         Supervised-runtime controls for the parallel path, identical in
         meaning to :func:`~repro.core.mincut.parallel_mincut`'s: lost
         workers are tolerated (their marks drop, the certificates of the
         survivors still hold), a fully failed executor degrades
-        ``processes → threads → serial``, and every event lands in
+        ``processes → serial``, and every event lands in
         ``stats["worker_events"]`` / ``stats["degradations"]``.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    check_executor(executor)
     if on_worker_failure not in ("degrade", "fail"):
         raise ValueError(
             f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"

@@ -11,12 +11,7 @@ from .connectivity import (
 )
 from .mincut import parallel_mincut
 from .noi import noi_mincut
-from .parallel_capforest import (
-    EXECUTORS,
-    ParallelCapforestResult,
-    WorkerReport,
-    parallel_capforest,
-)
+from .parallel_capforest import ParallelCapforestResult, WorkerReport, parallel_capforest
 from .result import MinCutResult
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "k_edge_connected_subgraphs",
     "parallel_mincut",
     "noi_mincut",
-    "EXECUTORS",
     "ParallelCapforestResult",
     "WorkerReport",
     "parallel_capforest",

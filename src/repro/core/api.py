@@ -17,7 +17,8 @@ Algorithm names (paper variant in brackets):
 ``"noi-viecut"``   VieCut seed + bounded NOI [NOIλ̂-Heap-VieCut] — the
                    paper's fastest sequential configuration and the default
 ``"parcut"``       Parallel system, Algorithm 2 [ParCutλ̂-BQueue]; kwargs:
-                   ``workers``, ``executor``, ``pq_kind``, ``kernel``,
+                   ``workers``, ``executor`` (``"serial"`` or
+                   ``"processes"``), ``pq_kind``, ``kernel``,
                    ``use_viecut``, ``start_method``, plus the
                    supervised-runtime controls ``timeout`` and
                    ``on_worker_failure`` (``"degrade"``/``"fail"``) — see
@@ -224,12 +225,15 @@ def minimum_cut(
         ``on_worker_failure="degrade"|"fail"``).  Solvers with parallel
         executors never hang on worker failure: lost workers are recorded
         in ``result.stats["worker_events"]`` and a failed executor
-        degrades ``processes → threads → serial``
-        (``stats["degradations"]``) unless ``on_worker_failure="fail"``,
-        in which case a :class:`repro.runtime.RuntimeFault` subclass is
-        raised.  Algorithms in :data:`TRACEABLE_ALGORITHMS` additionally
-        accept ``tracer=`` (a :class:`repro.observability.Tracer`) and
-        emit structured span/λ̂-provenance events.
+        degrades ``processes → serial`` (``stats["degradations"]``)
+        unless ``on_worker_failure="fail"``, in which case a
+        :class:`repro.runtime.RuntimeFault` subclass is raised.
+        Algorithms in :data:`TRACEABLE_ALGORITHMS` additionally accept
+        ``tracer=`` (a :class:`repro.observability.Tracer`) and emit
+        structured span/λ̂-provenance events.  ``executor`` must be one of
+        :data:`repro.runtime.EXECUTORS` (``"serial"``, ``"processes"``)
+        for ``parcut``, ``matula`` and ``karger-nlt``; anything else
+        raises ``ValueError``.
 
     Returns
     -------

@@ -22,8 +22,8 @@ Failure model
 The round loop runs under the supervised execution runtime
 (:mod:`~repro.runtime`).  Lost workers within a round are tolerated
 outright — the survivors' marks remain exact (Lemma 3.2(1)) — and an
-executor that loses *all* its workers degrades ``processes → threads →
-serial`` (sticky for the rest of the solve), with every event recorded in
+executor that loses *all* its workers degrades ``processes → serial``
+(sticky for the rest of the solve), with every event recorded in
 ``stats["worker_events"]`` / ``stats["degradations"]``.  A round that
 fails to shrink the contracted graph raises
 :class:`~repro.runtime.NoProgressError` instead of looping forever.
@@ -51,9 +51,9 @@ from ..graph.csr import Graph
 from ..graph.parallel_contract import parallel_contract_by_labels
 from ..kernels import resolve_kernel
 from ..observability import PARCUT_PHASES, STATS_SCHEMA_VERSION, Tracer
-from ..runtime.errors import NoProgressError, RuntimeFault
+from ..runtime.errors import NoProgressError
 from ..runtime.faults import FaultPlan
-from ..runtime.supervisor import call_with_degradation, raise_for_events
+from ..runtime.supervisor import call_with_degradation, check_executor, raise_for_events
 from ..utils.timers import Timer
 from .capforest import capforest
 from .noi import _absorb
@@ -139,8 +139,9 @@ def parallel_mincut(
     pq_kind:
         Worker priority queue; the paper finds ``"bqueue"`` best in parallel.
     executor:
-        ``"serial"`` (deterministic round-robin), ``"threads"`` or
-        ``"processes"`` — see :mod:`~repro.core.parallel_capforest`.
+        ``"serial"`` (deterministic round-robin) or ``"processes"`` —
+        :data:`repro.runtime.EXECUTORS`; see
+        :mod:`~repro.core.parallel_capforest`.
     kernel:
         CAPFOREST relaxation kernel (``"scalar"``, ``"vector"`` or
         ``"compiled"`` — :data:`repro.kernels.KERNELS`), used by the
@@ -158,7 +159,9 @@ def parallel_mincut(
         is reported in ``stats["start_method"]``.
     use_viecut:
         Seed ``λ̂`` with VieCut (Algorithm 2 line 1).  Disable to measure
-        the contribution of the seed (ablation).
+        the contribution of the seed (ablation).  The seed runs the same
+        vectorized label propagation on every executor, so
+        ``stats["viecut_value"]`` depends only on the graph and ``rng``.
     timeout:
         Per-round deadline (seconds) for process workers; a finite backstop
         applies even when ``None`` (:data:`repro.runtime.DEFAULT_TIMEOUT`).
@@ -173,6 +176,7 @@ def parallel_mincut(
         round / λ̂ / worker / degradation events.  ``None`` (default) emits
         nothing and adds no per-edge work.
     """
+    check_executor(executor)
     if on_worker_failure not in ("degrade", "fail"):
         raise ValueError(
             f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
@@ -226,26 +230,9 @@ def parallel_mincut(
     if use_viecut:
         from ..viecut.viecut import viecut
 
-        # Algorithm 2 line 1 — the paper runs VieCut with all threads
-        vc_workers = workers if executor in ("threads", "processes") else 1
+        # Algorithm 2 line 1
         with timer.phase("viecut"):
-            try:
-                seed = viecut(
-                    graph, rng=rng, workers=vc_workers, tracer=tracer, kernel=kernel
-                )
-            except RuntimeFault as exc:
-                if on_worker_failure == "fail":
-                    raise
-                stats["degradations"].append(
-                    {"stage": "viecut", "from_workers": vc_workers, "to_workers": 1,
-                     "reason": str(exc)}
-                )
-                if tracer is not None:
-                    tracer.emit(
-                        "degradation", stage="viecut", from_workers=vc_workers,
-                        to_workers=1, reason=str(exc),
-                    )
-                seed = viecut(graph, rng=rng, workers=1, tracer=tracer, kernel=kernel)
+            seed = viecut(graph, rng=rng, tracer=tracer, kernel=kernel)
         stats["viecut_value"] = seed.value
         if seed.value < best_value:
             best_value = seed.value

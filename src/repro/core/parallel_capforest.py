@@ -12,10 +12,10 @@ costs time, never correctness).
 Each worker maintains its own ``r`` values, priority queue, and scan cut
 ``α`` (the capacity of the cut between its scanned region and the rest of
 the graph — a real cut of G, so it may lower ``λ̂``).  Contractible edges
-are recorded as unions; depending on the executor these go to a shared
-lock-striped union–find (threads), a plain union–find (serial), or
-per-worker merge buffers replayed afterwards (processes) — all equivalent
-because unions commute (Lemma 3.2(1)).
+are recorded as unions; depending on the executor these go to one plain
+union–find (serial) or to per-worker pair buffers replayed by the
+coordinator afterwards (processes) — equivalent because unions commute
+(Lemma 3.2(1)).
 
 Workers run the ``scalar`` relaxation kernel (one Python iteration per
 arc — the reference), the ``vector`` kernel (each popped vertex's whole
@@ -34,11 +34,6 @@ Executors
     thread.  Deterministic given the seed; the reference semantics used by
     most tests, and the work counters it produces drive the *modeled*
     speedups of the Figure 5 experiment.
-``threads``
-    Real ``threading`` workers sharing ``T`` (a ``bytearray``; single-byte
-    writes are atomic under the GIL).  Faithful structure, but CPython's
-    GIL serializes the scan loops, so wall-clock scaling is limited — this
-    is the documented Python-vs-C++ substitution (DESIGN.md §2).
 ``processes``
     Process workers over a zero-copy shared-memory plane
     (:mod:`repro.graph.shm`): the CSR graph is exported once into a named
@@ -52,21 +47,23 @@ Executors
     the method used is surfaced on the result.  True parallelism for
     wall-clock scaling experiments.
 
-All three executors run under the supervised execution runtime
+There is no thread executor: CPython threads take turns under the GIL, so
+the pure-Python scan loops would run one at a time and only add locking.
+
+Both executors run under the supervised execution runtime
 (:mod:`~repro.runtime`): the process executor collects results through a
 bounded supervisor (crashed, wedged, or silent workers become structured
-events instead of a hung coordinator), thread workers have their uncaught
-exceptions captured, and a deterministic :class:`~repro.runtime.FaultPlan`
-can be injected on any executor for testing.  Losing a worker only drops
-its contraction marks, which Lemma 3.2(1) shows is always safe — the
-survivors' merged result stays exact.  Shared-memory segments are owned by
-the coordinator and unlinked in a ``finally`` block, so even a round whose
-workers were all killed leaves nothing behind in ``/dev/shm``.
+events instead of a hung coordinator), and a deterministic
+:class:`~repro.runtime.FaultPlan` can be injected on either executor for
+testing.  Losing a worker only drops its contraction marks, which Lemma
+3.2(1) shows is always safe — the survivors' merged result stays exact.
+Shared-memory segments are owned by the coordinator and unlinked in a
+``finally`` block, so even a round whose workers were all killed leaves
+nothing behind in ``/dev/shm``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +71,10 @@ import numpy as np
 from ..datastructures.pq import PQStats, make_pq
 from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
-from ..runtime.errors import ExecutorUnavailable, NoProgressError, WorkerCrashed
+from ..runtime.errors import ExecutorUnavailable, NoProgressError
 from ..runtime.faults import FaultClock, FaultPlan
-from ..runtime.supervisor import supervise_processes, worker_event
+from ..runtime.supervisor import check_executor, supervise_processes, worker_event
 from .capforest import MAX_BUCKET_BOUND, resolve_kernel
-
-EXECUTORS = ("serial", "threads", "processes")
 
 
 @dataclass
@@ -129,20 +124,20 @@ class ParallelCapforestResult:
         return max((w.work for w in self.workers), default=0)
 
 
-class _SharedBound:
-    """Monotonically decreasing shared λ̂ with a lock only on updates."""
+class _SerialBound:
+    """Monotonically decreasing λ̂ for the serial executor.
 
-    __slots__ = ("value", "_lock")
+    One thread drives every worker, so updates need no lock.
+    """
+
+    __slots__ = ("value",)
 
     def __init__(self, value: int) -> None:
         self.value = value
-        self._lock = threading.Lock()
 
     def minimize(self, candidate: int) -> None:
         if candidate < self.value:
-            with self._lock:
-                if candidate < self.value:
-                    self.value = candidate
+            self.value = candidate
 
 
 class _FrozenBound:
@@ -455,8 +450,7 @@ def parallel_capforest(
     """
     if lambda_hat < 0:
         raise ValueError(f"lambda_hat must be non-negative, got {lambda_hat}")
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    check_executor(executor)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     kernel, _ = resolve_kernel(kernel, tracer=tracer)
@@ -493,63 +487,39 @@ def parallel_capforest(
             n,
         )
     T = bytearray(n)
-    lam_box = _FrozenBound(lambda_hat) if fixed_bound else _SharedBound(lambda_hat)
-    if executor == "serial":
-        uf = UnionFind(n)
-        union = uf.union
-    else:
-        from ..datastructures.concurrent_union_find import LockStripedUnionFind
-
-        striped = LockStripedUnionFind(n)
-        union = striped.union
+    lam_box = _FrozenBound(lambda_hat) if fixed_bound else _SerialBound(lambda_hat)
+    uf = UnionFind(n)
 
     gens_reports = [
-        _make_worker(graph_arrays, i, s, pq_kind, lambda_hat, T, lam_box, union, kernel)
+        _make_worker(graph_arrays, i, s, pq_kind, lambda_hat, T, lam_box, uf.union, kernel)
         for i, s in enumerate(starts)
     ]
     reports = [rep for _, rep in gens_reports]
     events: list[dict] = []
 
-    if executor == "serial":
-        live = [(i, gen) for i, (gen, _) in enumerate(gens_reports)]
-        clocks = {i: FaultClock(fault_plan.for_worker(i, "serial") if fault_plan else None)
-                  for i, _ in live}
-        while live:
-            nxt = []
-            for i, gen in live:
-                fault = clocks[i].tick()
-                if fault is not None and fault.kind == "crash":
-                    # abandon this worker's scan; marks so far stay (safe)
+    live = [(i, gen) for i, (gen, _) in enumerate(gens_reports)]
+    clocks = {i: FaultClock(fault_plan.for_worker(i, "serial") if fault_plan else None)
+              for i, _ in live}
+    while live:
+        nxt = []
+        for i, gen in live:
+            fault = clocks[i].tick()
+            if fault is not None and fault.kind == "crash":
+                # abandon this worker's scan; marks so far stay (safe)
+                events.append(worker_event(i, "crashed", detail="injected"))
+                continue
+            try:
+                next(gen)
+                nxt.append((i, gen))
+            except StopIteration:
+                clock = clocks[i]
+                if clock.fault is not None and clock.fault.kind == "crash" and not clock.fired:
+                    # scan ended before the pop trigger: fire anyway
+                    # (the completed scan's marks stay — still safe)
                     events.append(worker_event(i, "crashed", detail="injected"))
-                    continue
-                try:
-                    next(gen)
-                    nxt.append((i, gen))
-                except StopIteration:
-                    clock = clocks[i]
-                    if clock.fault is not None and clock.fault.kind == "crash" and not clock.fired:
-                        # scan ended before the pop trigger: fire anyway
-                        # (the completed scan's marks stay — still safe)
-                        events.append(worker_event(i, "crashed", detail="injected"))
-            live = nxt
-    else:
-        threads = [
-            threading.Thread(
-                target=_drain,
-                args=(gen, i, fault_plan, events),
-                daemon=True,
-            )
-            for i, (gen, _) in enumerate(gens_reports)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        uf = striped.to_sequential()
-        if len(events) == len(threads) and threads:
-            raise ExecutorUnavailable("threads", "every thread worker crashed", events)
+        live = nxt
 
-    if executor == "serial" and events and len(events) == len(gens_reports):
+    if events and len(events) == len(gens_reports):
         raise ExecutorUnavailable("serial", "every worker crashed", events)
     res = _finalize(uf, lambda_hat, lam_box.value, reports, n)
     res.events = events
@@ -594,28 +564,6 @@ def _emit_pass_trace(tracer, res, executor, pq_kind, kernel, lambda_in) -> None:
         makespan_work=res.makespan_work,
         start_method=res.start_method,
     )
-
-
-def _drain(gen, worker_id: int, fault_plan: FaultPlan | None, events: list) -> None:
-    """Exhaust one thread worker, capturing crashes as structured events.
-
-    Appends to ``events`` instead of raising: a dead thread's marks are
-    already in the shared union–find and remain safe (Lemma 3.2(1)), so
-    the coordinator keeps the survivors and records the loss.  ``events``
-    appends are atomic under the GIL.
-    """
-    clock = FaultClock(fault_plan.for_worker(worker_id, "threads") if fault_plan else None)
-    try:
-        for _ in gen:
-            fault = clock.tick()
-            if fault is not None and fault.kind == "crash":
-                raise WorkerCrashed(worker_id, detail="injected")
-        if clock.fault is not None and clock.fault.kind == "crash" and not clock.fired:
-            # fire even if the scan ended before the pop trigger (see
-            # _process_worker) so injected faults stay deterministic
-            raise WorkerCrashed(worker_id, detail="injected")
-    except Exception as exc:  # noqa: BLE001 - any worker death must be observable
-        events.append(worker_event(worker_id, "crashed", detail=str(exc)))
 
 
 def _finalize(

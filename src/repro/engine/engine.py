@@ -27,7 +27,10 @@ Failure handling follows the runtime's degradation philosophy: a crashed
 worker is recycled and its request retried once on a fresh worker; an
 engine whose pool exhausts its recycle budget abandons the pool and keeps
 serving requests in-process (degraded, never wedged) — the
-``processes → threads → serial`` ladder, one level up.
+``processes → serial`` ladder, one level up.  Pooled workers are
+daemonic and may not fork, so a pooled ``executor="processes"`` solve
+runs on ``serial`` inside its worker; an unknown ``executor`` is rejected
+at :meth:`SolverEngine.submit` with ``ValueError``.
 
 Threading model: callers only touch the pending queue, the cache, and
 futures (all lock-protected or thread-safe).  Worker assignment, result
@@ -52,6 +55,7 @@ from typing import Any
 
 from ..core.result import MinCutResult
 from ..runtime.errors import WorkerCrashed, WorkerTimeout
+from ..runtime.supervisor import check_executor
 from .cache import ResultCache
 from .keys import graph_digest, request_key
 from .planes import PlaneRegistry
@@ -305,10 +309,12 @@ class SolverEngine:
                 )
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
+        if "executor" in kwargs:
+            check_executor(kwargs["executor"])
         # pooled workers are daemonic and may not fork grandchildren; the
         # pool already provides cross-request process parallelism
         if self._pool is not None and kwargs.get("executor") == "processes":
-            kwargs = dict(kwargs, executor="threads")
+            kwargs = dict(kwargs, executor="serial")
         digest = graph_digest(graph)
         key = request_key(digest, algorithm, kwargs, options)
         with self._lock:

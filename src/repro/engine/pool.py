@@ -11,9 +11,9 @@ paid once per worker instead of once per solve — the overhead the paper's
 shared-memory design amortises, applied at request granularity.
 
 Workers are daemonic, so solves inside the pool use the in-process
-executors (``serial``/``threads``); the pool itself provides the process
-parallelism *across* requests.  The engine coerces ``executor="processes"``
-accordingly (daemonic processes may not have children).
+``serial`` executor; the pool itself provides the process parallelism
+*across* requests.  The engine coerces ``executor="processes"`` to
+``serial`` accordingly (daemonic processes may not have children).
 
 Supervision mirrors :mod:`repro.runtime.supervisor`'s philosophy — never
 block forever, turn failures into structured events: the owning engine
@@ -21,8 +21,8 @@ polls results with a bounded ``get``, checks ``exitcode`` per worker, and
 calls :meth:`WorkerPool.recycle` to replace a crashed or deadline-blown
 worker with a fresh process (the ``pool_recycle`` trace event).  A pool
 that exhausts its recycle budget is abandoned and the engine degrades to
-in-process solving — the same ladder shape as
-``processes → threads → serial``, one level up.
+in-process solving — the same ladder shape as ``processes → serial``,
+one level up.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 Every parallel code path in the package routes its worker management
 through this subsystem so that no executor can hang the coordinator, every
 failure is observable as a structured event, and a failing executor
-degrades ``processes → threads → serial`` instead of aborting (Lemma
-3.2(1) makes dropped workers safe; the sequential fallback guarantees
-progress when everything else dies).  See the module docstrings of
-:mod:`~repro.runtime.supervisor`, :mod:`~repro.runtime.faults` and
-:mod:`~repro.runtime.errors` for the pieces.
+degrades ``processes → serial`` instead of aborting (Lemma 3.2(1) makes
+dropped workers safe; the deterministic in-process fallback guarantees
+progress when every worker process dies).  :data:`EXECUTORS` is the one
+list of executor names every solver, the CLI and the experiments accept.
+See the module docstrings of :mod:`~repro.runtime.supervisor`,
+:mod:`~repro.runtime.faults` and :mod:`~repro.runtime.errors` for the
+pieces.
 """
 
 from .errors import (
@@ -21,8 +23,10 @@ from .faults import FaultClock, FaultPlan, WorkerFault
 from .supervisor import (
     DEFAULT_TIMEOUT,
     DEGRADATION_LADDER,
+    EXECUTORS,
     SupervisedOutcome,
     call_with_degradation,
+    check_executor,
     raise_for_events,
     supervise_processes,
     worker_event,
@@ -39,8 +43,10 @@ __all__ = [
     "FaultClock",
     "DEFAULT_TIMEOUT",
     "DEGRADATION_LADDER",
+    "EXECUTORS",
     "SupervisedOutcome",
     "call_with_degradation",
+    "check_executor",
     "raise_for_events",
     "supervise_processes",
     "worker_event",

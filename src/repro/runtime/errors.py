@@ -1,8 +1,8 @@
 """Structured failure taxonomy for the supervised execution runtime.
 
-Every parallel code path in this package (parallel CAPFOREST, parallel
-contraction, VieCut label propagation, parallel Matula) reports failures
-through these types instead of hanging or raising bare ``ValueError``s.
+Every supervised parallel code path in this package (parallel CAPFOREST,
+parallel Matula, the tree-packing fan-out) reports failures through these
+types instead of hanging or raising bare ``ValueError``s.
 The hierarchy is deliberately shallow:
 
 ``RuntimeFault``
@@ -39,10 +39,10 @@ class RuntimeFault(RuntimeError):
 
 
 class WorkerCrashed(RuntimeFault):
-    """A worker process/thread died before reporting its result.
+    """A worker died before reporting its result.
 
-    ``exit_code`` is the process exit code (``None`` for thread workers,
-    whose "crash" is an uncaught exception captured by the drain wrapper).
+    ``exit_code`` is the process exit code (``None`` for an in-process
+    serial worker, whose injected "crash" has no process to exit).
     """
 
     def __init__(self, worker_id: int, exit_code: int | None = None, detail: str = "") -> None:

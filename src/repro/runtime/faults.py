@@ -13,13 +13,12 @@ Fault kinds
 ``"crash"``
     Process workers call ``os._exit(exit_code)`` after ``after_pops`` queue
     pops — a hard kill: no result is enqueued and the exit code is nonzero.
-    Thread and serial workers raise :class:`~repro.runtime.errors.WorkerCrashed`
-    inside the worker (captured by the drain wrapper / coordinator), which
-    abandons the rest of their scan.
+    Serial workers are abandoned by the round-robin coordinator, which
+    records a ``crashed`` event and drops the rest of their scan.
 ``"hang"``
     The worker sleeps for ``delay`` seconds (default: effectively forever)
     after ``after_pops`` pops — a wedged worker the supervisor must time
-    out.  Process executor only (threads cannot be killed).
+    out.  Process executor only (an in-process worker cannot be killed).
 ``"delay"``
     The worker sleeps ``delay`` seconds once, then continues normally —
     exercises supervisor patience (the result must still be collected).
@@ -37,6 +36,8 @@ worker numbering (worker ``i`` scans from the ``i``-th start vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .supervisor import EXECUTORS
 
 FAULT_KINDS = ("crash", "hang", "delay", "drop_result", "corrupt_pairs")
 
@@ -73,12 +74,12 @@ class FaultPlan:
     """Which workers fail, keyed by worker id.
 
     ``executors`` limits the plan to specific executors — e.g. a plan that
-    kills every process worker but lets the degraded ``threads`` retry run
+    kills every process worker but lets the degraded ``serial`` retry run
     clean uses ``executors=("processes",)``.
     """
 
     faults: dict[int, WorkerFault] = field(default_factory=dict)
-    executors: tuple[str, ...] = ("processes", "threads", "serial")
+    executors: tuple[str, ...] = EXECUTORS
 
     def for_worker(self, worker_id: int, executor: str) -> WorkerFault | None:
         if executor not in self.executors:
@@ -91,7 +92,7 @@ class FaultPlan:
         worker_ids,
         *,
         after_pops: int = 0,
-        executors: tuple[str, ...] = ("processes", "threads", "serial"),
+        executors: tuple[str, ...] = EXECUTORS,
     ) -> "FaultPlan":
         """Crash each listed worker after ``after_pops`` pops."""
         return cls(
@@ -108,7 +109,8 @@ class FaultPlan:
         delay: float | None = None,
         executors: tuple[str, ...] = ("processes",),
     ) -> "FaultPlan":
-        """Wedge each listed worker (processes only — threads can't be killed)."""
+        """Wedge each listed worker (process executor only: an in-process
+        worker cannot be killed)."""
         return cls(
             {i: WorkerFault("hang", after_pops=after_pops, delay=delay) for i in worker_ids},
             executors=executors,

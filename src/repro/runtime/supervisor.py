@@ -22,8 +22,8 @@ unions, unions commute, and any *subset* of safe marks is still safe — the
 merged result of the survivors is exact, merely (potentially) slower to
 converge.  Only when *no* worker survives does the supervisor's caller
 raise :class:`~repro.runtime.errors.ExecutorUnavailable`, which the
-degradation ladder (``processes → threads → serial``) turns into a retry
-on the next-simpler executor.
+degradation ladder (``processes → serial``) turns into a retry on the
+deterministic in-process executor.
 """
 
 from __future__ import annotations
@@ -47,10 +47,19 @@ EXIT_GRACE = 0.5
 
 #: executor downgrade chain; ``None`` means nowhere left to go
 DEGRADATION_LADDER: dict[str, str | None] = {
-    "processes": "threads",
-    "threads": "serial",
+    "processes": "serial",
     "serial": None,
 }
+
+#: every executor a parallel solver accepts — the ladder's rungs, so the
+#: two can never disagree (CLI choices and validators import this tuple)
+EXECUTORS: tuple[str, ...] = tuple(DEGRADATION_LADDER)
+
+
+def check_executor(executor: str) -> None:
+    """Raise ``ValueError`` unless ``executor`` is one of :data:`EXECUTORS`."""
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
 
 
 def worker_event(worker_id: int, kind: str, **detail) -> dict:
@@ -196,7 +205,7 @@ def call_with_degradation(
     ``call`` is retried on the next-simpler executor each time it raises a
     :class:`RuntimeFault` (other than :class:`NoProgressError`, which
     signals an algorithmic stall, not an executor problem).  Retries are
-    capped by the ladder length, so the call runs at most three times.
+    capped by the ladder length, so the call runs at most twice.
     ``on_degrade(from_executor, to_executor, exc)`` is invoked before each
     retry — callers use it to record the event in their ``stats``.
 

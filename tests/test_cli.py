@@ -34,6 +34,12 @@ class TestCli:
         assert main(["--algorithm", "parcut", "--workers", "2", "--pq", "bqueue", metis_file]) == 0
         assert "parcut-bqueue" in capsys.readouterr().out
 
+    def test_threads_executor_rejected(self, metis_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--algorithm", "parcut", "--executor", "threads", metis_file])
+        assert exc.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+
     def test_print_side(self, metis_file, capsys):
         assert main(["--print-side", metis_file]) == 0
         out = capsys.readouterr().out

@@ -64,8 +64,8 @@ class TestProcessFaults:
         assert res.value == truth
         assert res.stats["degradations"], "expected a recorded degradation"
         hop = res.stats["degradations"][0]
-        assert (hop["from"], hop["to"]) == ("processes", "threads")
-        assert res.stats["final_executor"] in ("threads", "serial")
+        assert (hop["from"], hop["to"]) == ("processes", "serial")
+        assert res.stats["final_executor"] == "serial"
 
     def test_hung_worker_times_out_not_hangs(self, fault_graph):
         """The old unconditional ``out.get()`` would block forever here."""
@@ -126,27 +126,6 @@ class TestProcessFaults:
 
 
 class TestThreadAndSerialFaults:
-    def test_thread_crash_tolerated(self, fault_graph):
-        g, truth = fault_graph
-        plan = FaultPlan.kill([0], after_pops=2, executors=("threads",))
-        res = parallel_mincut(
-            g, workers=4, executor="threads", rng=0, fault_plan=plan
-        )
-        assert res.value == truth
-        kinds = {ev["kind"] for ev in res.stats["worker_events"]}
-        assert "crashed" in kinds
-
-    def test_all_threads_crash_degrades_to_serial(self, fault_graph):
-        g, truth = fault_graph
-        plan = FaultPlan.kill(range(4), executors=("threads",))
-        res = parallel_mincut(
-            g, workers=4, executor="threads", rng=0, fault_plan=plan
-        )
-        assert res.value == truth
-        hops = [(d["from"], d["to"]) for d in res.stats["degradations"]]
-        assert ("threads", "serial") in hops
-        assert res.stats["final_executor"] == "serial"
-
     def test_serial_crash_tolerated_and_deterministic(self, fault_graph):
         g, truth = fault_graph
         plan = FaultPlan.kill([1], after_pops=1, executors=("serial",))
@@ -168,37 +147,13 @@ class TestThreadAndSerialFaults:
 class TestMatulaFaults:
     def test_parallel_matula_survives_worker_loss(self, fault_graph):
         g, truth = fault_graph
-        plan = FaultPlan.kill(range(4), executors=("threads",))
+        plan = FaultPlan.kill(range(4), executors=("processes",))
         res = matula_approx(
-            g, eps=0.5, workers=4, executor="threads", rng=0, fault_plan=plan
+            g, eps=0.5, workers=4, executor="processes", rng=0,
+            timeout=30.0, fault_plan=plan,
         )
         # approximation guarantee must hold even after degradation
         assert truth <= res.value <= (2 + 0.5) * truth
-        assert res.stats["degradations"]
+        hops = [(d["from"], d["to"]) for d in res.stats["degradations"]]
+        assert hops == [("processes", "serial")]
 
-
-class TestViecutDegradation:
-    def test_lp_failure_falls_back_to_sequential(self, fault_graph, monkeypatch):
-        """A dead label-propagation chunk worker must not sink the seed."""
-        import importlib
-
-        vc_mod = importlib.import_module("repro.viecut.viecut")
-        viecut = vc_mod.viecut
-
-        def boom(graph, *, iterations, rng, workers, method):
-            if workers > 1 or method == "parallel":
-                raise ExecutorUnavailable(
-                    "threads", "label-propagation chunk worker died"
-                )
-            return real_cluster_labels(
-                graph, iterations=iterations, rng=rng, workers=workers, method=method
-            )
-
-        real_cluster_labels = vc_mod.cluster_labels
-        monkeypatch.setattr(vc_mod, "cluster_labels", boom)
-        g, truth = fault_graph
-        res = viecut(g, rng=0, workers=4, small_threshold=8)
-        # viecut is inexact but always returns a *valid* cut
-        assert res.value >= truth
-        assert res.stats["lp_degradations"] >= 1
-        assert "chunk worker died" in res.stats["lp_degradation_reason"]

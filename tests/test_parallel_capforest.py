@@ -38,7 +38,7 @@ class TestCoverage:
     """Every vertex of a connected graph is scanned by exactly one worker."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_all_vertices_scanned_once(self, workers, executor):
         rng = np.random.default_rng(1)
         g = connected_gnm(40, 90, rng=rng)
@@ -111,11 +111,11 @@ class TestSafety:
 
 
 class TestExecutorEquivalence:
-    """All executors produce *safe* marks; serial/threads also agree on
-    coverage.  (Mark sets may differ — scan interleaving is scheduling-
-    dependent — but every executor's output must be usable by ParCut.)"""
+    """All executors produce *safe* marks.  (Mark sets may differ — scan
+    interleaving is scheduling-dependent — but every executor's output must
+    be usable by ParCut.)"""
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_marks_progress_dumbbell(self, dumbbell, executor):
         res = parallel_capforest(dumbbell, 1, workers=2, executor=executor, rng=0)
         # bound λ̂=1: nothing to mark is legal, but coverage must hold
@@ -130,10 +130,3 @@ class TestExecutorEquivalence:
         total = sum(w.vertices_scanned for w in res.workers)
         assert total == g.n
         assert res.lambda_hat <= deg0
-
-    def test_threads_union_find_merges(self):
-        rng = np.random.default_rng(17)
-        g = connected_gnm(50, 150, rng=rng)
-        _, deg0 = g.min_weighted_degree()
-        res = parallel_capforest(g, deg0, workers=4, executor="threads", rng=6)
-        assert res.n_marked == g.n - res.uf.count

@@ -88,16 +88,14 @@ def test_property_matches_oracle_serial(seed, workers, pq, use_viecut):
     assert res.verify(g)
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_property_matches_oracle_threads(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 30))
-    m = min(int(rng.integers(n, 4 * n)), n * (n - 1) // 2)
-    g = connected_gnm(n, m, rng=rng, weights=(1, 6))
-    res = parallel_mincut(g, workers=3, executor="threads", rng=rng)
-    assert res.value == oracle_mincut(g)
-    assert res.verify(g)
+def test_viecut_seed_independent_of_executor():
+    """Every executor seeds with the same label propagation, so the VieCut
+    bound depends only on the graph and the generator state."""
+    g = connected_gnm(120, 420, rng=5, weights=(1, 6))
+    serial = parallel_mincut(g, workers=2, executor="serial", rng=11)
+    procs = parallel_mincut(g, workers=2, executor="processes", rng=11)
+    assert serial.stats["viecut_value"] == procs.stats["viecut_value"]
+    assert serial.value == procs.value == oracle_mincut(g)
 
 
 def test_processes_executor_exact():

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.api import minimum_cut
 from repro.core.mincut import parallel_mincut
 from repro.generators import connected_gnm
+from repro.graph import from_edges
 from repro.runtime import (
     DEGRADATION_LADDER,
+    EXECUTORS,
     ExecutorUnavailable,
     FaultClock,
     FaultPlan,
@@ -20,6 +23,44 @@ from repro.runtime import (
     worker_event,
 )
 from repro.runtime.supervisor import _validate_payload
+
+
+class TestExecutorList:
+    """One executor list, derived from the ladder, checked on every entry."""
+
+    def test_executors_are_the_ladder_rungs(self):
+        assert EXECUTORS == tuple(DEGRADATION_LADDER) == ("processes", "serial")
+        assert FaultPlan().executors == EXECUTORS
+        assert FaultPlan.kill([0]).executors == EXECUTORS
+
+    def test_cli_and_figure5_choices_come_from_the_list(self):
+        from repro.cli import build_parser
+        from repro.experiments.figure5 import main as figure5_main
+
+        actions = {a.dest: a for a in build_parser()._actions}
+        assert tuple(actions["executor"].choices) == EXECUTORS
+        with pytest.raises(SystemExit) as exc:
+            figure5_main(["--executor", "threads"])
+        assert exc.value.code == 2
+
+    def test_thread_code_is_gone(self):
+        import repro.viecut.label_propagation as lp
+
+        with pytest.raises(ImportError):
+            __import__("repro.datastructures.concurrent_union_find")
+        assert not hasattr(lp, "propagate_labels_parallel")
+
+    @pytest.mark.parametrize("executor", ["threads", "bogus"])
+    @pytest.mark.parametrize("shape", ["disconnected", "two_vertices", "connected"])
+    @pytest.mark.parametrize("algorithm", ["parcut", "matula", "karger-nlt"])
+    def test_unknown_executor_rejected(self, algorithm, shape, executor):
+        graph = {
+            "disconnected": from_edges(4, [0, 2], [1, 3], [1, 1]),
+            "two_vertices": from_edges(2, [0], [1], [3]),
+            "connected": connected_gnm(12, 24, rng=0, weights=(1, 4)),
+        }[shape]
+        with pytest.raises(ValueError, match="unknown executor"):
+            minimum_cut(graph, algorithm, executor=executor)
 
 
 class TestErrors:
@@ -56,7 +97,7 @@ class TestFaultPlan:
     def test_scoped_to_executor(self):
         plan = FaultPlan.kill([0], executors=("processes",))
         assert plan.for_worker(0, "processes") is not None
-        assert plan.for_worker(0, "threads") is None
+        assert plan.for_worker(0, "serial") is None
         assert plan.for_worker(1, "processes") is None
 
     def test_clock_fires_once_after_pops(self):
@@ -101,9 +142,7 @@ class TestPayloadValidation:
 
 class TestDegradationLadder:
     def test_ladder_shape(self):
-        assert DEGRADATION_LADDER["processes"] == "threads"
-        assert DEGRADATION_LADDER["threads"] == "serial"
-        assert DEGRADATION_LADDER["serial"] is None
+        assert DEGRADATION_LADDER == {"processes": "serial", "serial": None}
 
     def test_degrades_until_success(self):
         seen = []
@@ -116,7 +155,7 @@ class TestDegradationLadder:
 
         result, used = call_with_degradation(call, "processes")
         assert result == 42 and used == "serial"
-        assert seen == ["processes", "threads", "serial"]
+        assert seen == ["processes", "serial"]
 
     def test_records_each_degradation(self):
         hops = []
@@ -129,7 +168,7 @@ class TestDegradationLadder:
         call_with_degradation(
             call, "processes", on_degrade=lambda a, b, e: hops.append((a, b))
         )
-        assert hops == [("processes", "threads")]
+        assert hops == [("processes", "serial")]
 
     def test_fail_policy_raises_immediately(self):
         def call(executor):

@@ -375,6 +375,13 @@ class TestServiceEndToEnd:
             )
             assert status == 400 and "_test_fault" in body["error"]
 
+    def test_unknown_executor_400(self, service, dumbbell):
+        with ServiceClient("127.0.0.1", service.port) as client:
+            status, _headers, body = client.solve(
+                dumbbell, algorithm="parcut", kwargs={"executor": "threads"}
+            )
+            assert status == 400 and "unknown executor" in body["error"]
+
     def test_keep_alive_reuses_one_connection(self, service, dumbbell):
         with ServiceClient("127.0.0.1", service.port) as client:
             before = client.stats()["service"]["connections"]
