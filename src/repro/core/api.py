@@ -67,6 +67,7 @@ def _noi_hnss(graph: Graph, **kw) -> MinCutResult:
 
 
 def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
+    from ..kernels import resolve_kernel
     from ..viecut.viecut import viecut
     from .noi import noi_mincut
 
@@ -74,10 +75,10 @@ def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
     compute_side = kw.get("compute_side", True)
-    seed = viecut(
-        graph, rng=rng, tracer=kw.get("tracer"),
-        kernel=kw.get("kernel", "scalar"),
-    )
+    # resolve once, silently, for the seed: noi_mincut below resolves the
+    # requested name again and emits the solve's one kernel_fallback event
+    kernel, _ = resolve_kernel(kw.get("kernel", "scalar"))
+    seed = viecut(graph, rng=rng, tracer=kw.get("tracer"), kernel=kernel)
     res = noi_mincut(
         graph,
         initial_bound=seed.value,
@@ -215,12 +216,11 @@ def minimum_cut(
     **kwargs:
         Forwarded to the selected solver (e.g. ``rng=...`` for
         reproducibility, ``pq_kind=...``, ``workers=...``;
-        ``kernel="scalar"|"vector"|"compiled"`` selects the CAPFOREST
-        relaxation kernel for the NOI/ParCut solvers — identical results;
-        the vector kernel batches arc relaxations through numpy, the
-        compiled tier runs them as numba-jitted machine code (falling
-        back to vector, with a ``kernel_fallback`` stats note, when numba
-        is unavailable — see :mod:`repro.kernels`); for the
+        ``kernel="scalar"|"vector"`` selects the CAPFOREST relaxation
+        kernel for the NOI/ParCut solvers — identical results; the vector
+        kernel batches arc relaxations through numpy.  ``"compiled"`` is
+        accepted as a name for vector and recorded with a
+        ``kernel_fallback`` stats note (see :mod:`repro.kernels`); for the
         parallel solvers also ``timeout=...`` and
         ``on_worker_failure="degrade"|"fail"``).  Solvers with parallel
         executors never hang on worker failure: lost workers are recorded

@@ -143,12 +143,12 @@ def parallel_mincut(
         :data:`repro.runtime.EXECUTORS`; see
         :mod:`~repro.core.parallel_capforest`.
     kernel:
-        CAPFOREST relaxation kernel (``"scalar"``, ``"vector"`` or
-        ``"compiled"`` — :data:`repro.kernels.KERNELS`), used by the
-        parallel workers, both sequential fallbacks, the VieCut seed, and
-        contraction alike.  ``"compiled"`` resolves through
-        :func:`repro.kernels.resolve_kernel`: when numba is unavailable it
-        runs as ``"vector"``, with the requested name in
+        CAPFOREST relaxation kernel (``"scalar"`` or ``"vector"`` —
+        :data:`repro.kernels.KERNELS`), used by the parallel workers, both
+        sequential fallbacks, and the VieCut seed's exact remnant solve
+        alike.  ``"compiled"`` resolves through
+        :func:`repro.kernels.resolve_kernel` and runs as ``"vector"``,
+        with the requested name in
         ``stats["kernel"]``, the executed one in
         ``stats["kernel_resolved"]``, and the reason in
         ``stats["kernel_fallback"]`` (plus one ``kernel_fallback`` trace
@@ -350,9 +350,7 @@ def parallel_mincut(
 
         block_labels = uf.labels()
         with timer.phase("contract"):
-            g, contraction = parallel_contract_by_labels(
-                g, block_labels, workers=workers, kernel=kernel
-            )
+            g, contraction = parallel_contract_by_labels(g, block_labels, workers=workers)
         labels = compose_labels(labels, contraction)
         ratio = g.n / round_n
         stats["contraction_ratios"].append(round(ratio, 6))

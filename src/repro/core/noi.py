@@ -59,13 +59,12 @@ def noi_mincut(
         CAPFOREST configuration (see module docstring for the paper's
         variant names).
     kernel:
-        CAPFOREST relaxation kernel, ``"scalar"``, ``"vector"`` or
-        ``"compiled"`` (:data:`repro.kernels.KERNELS`).  Results are
-        identical; only the speed differs.  A ``"compiled"`` request
-        degrades to ``"vector"`` when numba is unavailable — the stats
-        record the requested name under ``"kernel"``, the one that ran
-        under ``"kernel_resolved"``, and the reason (or ``None``) under
-        ``"kernel_fallback"``.
+        CAPFOREST relaxation kernel, ``"scalar"`` or ``"vector"``
+        (:data:`repro.kernels.KERNELS`).  Results are identical; only the
+        speed differs.  A ``"compiled"`` request runs as ``"vector"`` —
+        the stats record the requested name under ``"kernel"``, the one
+        that ran under ``"kernel_resolved"``, and the reason (or ``None``)
+        under ``"kernel_fallback"``.
     initial_bound, initial_side:
         An externally known cut (value and optional side mask), e.g. from
         VieCut.  Must be the capacity of a real cut (any valid upper bound
@@ -211,7 +210,7 @@ def noi_mincut(
             uf = sw.uf
             order = sw.scan_order
             uf.union(order[-2], order[-1])
-        g, contraction = contract_by_union_find(g, uf, kernel=kernel)
+        g, contraction = contract_by_union_find(g, uf)
         labels = compose_labels(labels, contraction)
         if trace:
             stats["trace"].append(

@@ -215,9 +215,6 @@ class _BucketPQBase:
             old = np.where(push, -1, cur)
             self.apply_relaxations(vs[moved], old[moved], new[moved])
 
-    # paper-facing alias: CAPFOREST priorities only ever increase
-    increase_many = insert_many
-
     def __len__(self) -> int:
         return self._size
 
@@ -490,8 +487,6 @@ class BQueueArrayPQ(BQueuePQ):
         if moved.any():
             old = np.where(push, -1, cur)
             self.apply_relaxations(vs[moved], old[moved], new[moved])
-
-    increase_many = insert_many
 
     def drain_top_bucket(self) -> list[int]:
         if self._size == 0:

@@ -49,12 +49,6 @@ def _pool_worker_main(worker_id: int, task_q, result_q) -> None:
     """
     from ..core.api import minimum_cut
     from ..graph.shm import SharedGraph
-    from ..kernels import warmup
-
-    # JIT-compile (or cache-load) the compiled kernel tier once, before the
-    # first request, so no request pays compilation latency.  No-op without
-    # numba; idempotent within the process.
-    warmup()
 
     while True:
         task = task_q.get()

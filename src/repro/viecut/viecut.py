@@ -55,15 +55,13 @@ def viecut(
         Seed or generator.
     lp_method:
         Label-propagation engine: ``"sync"`` (vectorized, the fast
-        default; it stands in for the paper's threaded LP rounds),
-        ``"async"`` (reference scan) or ``"compiled"`` (jitted async twin —
-        identical labels to ``"async"`` for every graph and seed).  The
-        default stays ``"sync"`` regardless of ``kernel`` so a driver's
-        clustering is identical across kernel tiers.
+        default; it stands in for the paper's threaded LP rounds) or
+        ``"async"`` (reference scan).  The default stays ``"sync"``
+        regardless of ``kernel`` so a driver's clustering is identical
+        across kernels.
     kernel:
         Relaxation kernel for the final exact NOI solve on the remnant
-        graph and for the level contractions
-        (:data:`repro.kernels.KERNELS`; resolved through
+        graph (:data:`repro.kernels.KERNELS`; resolved through
         :func:`repro.kernels.resolve_kernel`).  Does not change the
         clustering, so the returned cut is kernel-independent.
     pr34_max_arcs:
@@ -124,7 +122,7 @@ def viecut(
         if int(clusters.max()) + 1 == g.n:
             break  # no cluster merged anything; LP has stalled
         level_n = g.n
-        g, lbl = contract_by_labels(g, clusters, kernel=kernel)
+        g, lbl = contract_by_labels(g, clusters)
         labels = compose_labels(labels, lbl)
         stats["levels"] += 1
         if tracer is not None:
@@ -147,7 +145,7 @@ def viecut(
 
             uf = pr12_marks(g, best_value)
         if uf.count < g.n:
-            g, lbl = contract_by_union_find(g, uf, kernel=kernel)
+            g, lbl = contract_by_union_find(g, uf)
             labels = compose_labels(labels, lbl)
             if g.n < 2:
                 break

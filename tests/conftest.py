@@ -37,6 +37,55 @@ def graph_to_nx(g: Graph):
     return G
 
 
+class SegmentLog:
+    """Names of the shared-memory segments this process created during a
+    test (filled by the ``shm_segments`` fixture)."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+    def leaked(self) -> list[str]:
+        """The recorded segments that still exist."""
+        from repro.graph.shm import _attach_untracked
+
+        left = []
+        for name in self.names:
+            try:
+                _attach_untracked(name).close()
+            except FileNotFoundError:
+                continue
+            left.append(name)
+        return left
+
+    def assert_all_unlinked(self, at_least: int) -> None:
+        """At least ``at_least`` segments were created, and none is left."""
+        assert len(self.names) >= at_least
+        assert self.leaked() == []
+
+
+@pytest.fixture
+def shm_segments(monkeypatch) -> SegmentLog:
+    """Record every shared-memory segment this process creates.
+
+    Leak checks assert on these names rather than on the whole
+    ``/dev/shm`` listing, so segments of a concurrent solve in another
+    process cannot fail them.  Every segment type is created through
+    :func:`repro.graph.shm._create`, the one function wrapped here.
+    """
+    from repro.graph import shm
+
+    log = SegmentLog()
+    create = shm._create
+
+    def recording_create(size: int):
+        seg = create(size)
+        log.names.append(seg.name)
+        return seg
+
+    monkeypatch.setattr(shm, "_create", recording_create)
+    return log
+
+
 def oracle_mincut(g: Graph) -> int:
     """Exact minimum cut via networkx Stoer–Wagner (connected graphs)."""
     import networkx as nx

@@ -1,46 +1,30 @@
-"""Tests for the compiled kernel tier (`repro.kernels`).
+"""Tests for the kernel registry (`repro.kernels`) and the ``"compiled"`` name.
 
-Four concerns, matching the satellites of the compiled-tier PR:
+Two concerns:
 
 * **registry centralization** — `KERNELS` / `check_kernel` live in one
   place and every consumer (capforest, parallel_capforest, CLI, API)
   uses that copy, so the advertised set cannot drift; every advertised
   kernel actually solves a fixture through the public API.
-* **fallback** — `kernel="compiled"` without numba degrades to the
-  vector kernel *visibly*: `kernel_fallback` stats key, one
-  `kernel_fallback` trace event, and the tier state in
-  `engine.stats()["kernels"]` / `GET /v1/stats`.
-* **pure-Python parity** — with ``REPRO_COMPILED_PUREPY=1`` the jitted
-  kernels run as interpreted Python, so the label-propagation and
-  contraction twins are provably bit-equal to their references without
-  the dependency (the CAPFOREST twin is covered by
-  ``test_kernel_parity.py``).
-* **warmup** — idempotent, counted, and wired into pooled engine
-  workers; the real JIT-compilation assertions skip cleanly when numba
-  is absent.
+* **fallback** — ``kernel="compiled"`` names a removed tier and runs as
+  the vector kernel *visibly*: the ``kernel_fallback`` stats key, exactly
+  one ``kernel_fallback`` trace event per solve, and results identical to
+  an explicit vector run through the facade, the engine, the CLI and the
+  service.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.api import minimum_cut
+from repro.core.api import ALGORITHMS, minimum_cut
 from repro.core.mincut import parallel_mincut
 from repro.core.noi import noi_mincut
-from repro.generators.gnm import connected_gnm, gnm
-from repro.kernels import (
-    COMPILED_FALLBACK,
-    KERNEL_CROSSOVERS,
-    KERNELS,
-    NUMBA_AVAILABLE,
-    check_kernel,
-    compile_count,
-    compiled_available,
-    compiled_status,
-    resolve_kernel,
-    warmup,
-)
+from repro.generators.gnm import connected_gnm
+from repro.kernels import KERNELS, check_kernel, resolve_kernel
 from repro.observability import Tracer
 from repro.observability.schema import (
     EVENT_KINDS,
@@ -49,19 +33,25 @@ from repro.observability.schema import (
     validate_trace_events,
 )
 
+#: the facade entries that take ``kernel=``; the completeness test below
+#: checks every other entry rejects it
+KERNEL_ALGORITHMS = ("noi", "noi-hnss", "noi-viecut", "parcut", "viecut")
 
-@pytest.fixture
-def purepy(monkeypatch):
-    """Force the compiled tier to run as interpreted Python."""
-    monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
+#: stats that must match between a ``"compiled"`` and a ``"vector"`` run
+_PQ_KEYS = ("pq_pushes", "pq_updates", "pq_skipped_updates", "pq_pops")
 
 
-@pytest.fixture
-def no_tier(monkeypatch):
-    """Guarantee the compiled tier is unavailable (skip when numba is)."""
-    if NUMBA_AVAILABLE:
-        pytest.skip("numba installed: the fallback path cannot be exercised")
-    monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
+def _assert_same_solve(a, b) -> None:
+    assert a.value == b.value
+    assert np.array_equal(a.side, b.side)
+    for key in _PQ_KEYS:
+        assert a.stats[key] == b.stats[key], key
+
+
+def _assert_compiled_stats(stats: dict) -> None:
+    assert stats["kernel"] == "compiled"
+    assert stats["kernel_resolved"] == "vector"
+    assert stats["kernel_fallback"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +93,16 @@ class TestRegistry:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("algorithm", ["noi", "parcut", "noi-viecut"])
     def test_every_advertised_kernel_solves(self, kernel, algorithm):
-        # no purepy forcing: this must hold in *any* environment — a
-        # compiled request without numba resolves to vector and still solves
         g = connected_gnm(60, 180, rng=2, weights=(1, 7))
         expected = minimum_cut(g, algorithm="stoer-wagner")
         res = minimum_cut(g, algorithm=algorithm, rng=4, kernel=kernel)
         assert res.value == expected.value
 
-    def test_crossover_constants_are_tier_aware(self):
-        from repro.core.capforest import MIN_BATCH, POP_VECTOR_MIN_DEGREE
-
-        assert set(KERNEL_CROSSOVERS) == {"vector", "compiled"}
-        for tier in KERNEL_CROSSOVERS.values():
-            assert set(tier) == {"min_batch", "pop_vector_min_degree"}
-        # the module-level constants are the vector tier's entries
-        assert MIN_BATCH == KERNEL_CROSSOVERS["vector"]["min_batch"]
-        assert POP_VECTOR_MIN_DEGREE == KERNEL_CROSSOVERS["vector"]["pop_vector_min_degree"]
-        # machine-code loops have no per-call overhead to amortize
-        assert KERNEL_CROSSOVERS["compiled"]["min_batch"] <= 1
-        assert KERNEL_CROSSOVERS["compiled"]["pop_vector_min_degree"] == 0
+    def test_kernel_algorithm_list_is_complete(self):
+        g = connected_gnm(20, 40, rng=1)
+        for name in sorted(set(ALGORITHMS) - set(KERNEL_ALGORITHMS)):
+            with pytest.raises(TypeError, match="kernel"):
+                minimum_cut(g, algorithm=name, kernel="vector")
 
 
 # ---------------------------------------------------------------------------
@@ -130,48 +111,61 @@ class TestRegistry:
 
 
 class TestFallback:
-    def test_resolve_passthrough(self, purepy):
-        assert compiled_available()
+    def test_resolve_passthrough(self):
         assert resolve_kernel("scalar") == ("scalar", None)
         assert resolve_kernel("vector") == ("vector", None)
-        assert resolve_kernel("compiled") == ("compiled", None)
 
-    def test_resolve_degrades_without_tier(self, no_tier):
-        resolved, reason = resolve_kernel("compiled")
-        assert resolved == COMPILED_FALLBACK == "vector"
+    def test_resolve_degrades_without_tier(self):
+        tr = Tracer()
+        resolved, reason = resolve_kernel("compiled", tracer=tr)
+        assert resolved == "vector"
         assert reason is not None and "compiled tier unavailable" in reason
+        (event,) = tr.events("kernel_fallback")
+        assert event["requested"] == "compiled"
+        assert event["resolved"] == "vector"
+        assert event["reason"] == reason
+        # a native kernel emits nothing
+        resolve_kernel("vector", tracer=tr)
+        assert len(tr.events("kernel_fallback")) == 1
 
     def test_fallback_event_is_in_taxonomy(self):
         assert "kernel_fallback" in EVENT_KINDS
 
-    def test_noi_stats_and_trace_surface_fallback(self, no_tier):
+    def test_noi_stats_and_trace_surface_fallback(self):
         g = connected_gnm(50, 140, rng=1)
         tr = Tracer()
         res = noi_mincut(g, rng=3, kernel="compiled", tracer=tr)
-        assert res.stats["kernel"] == "compiled"
-        assert res.stats["kernel_resolved"] == "vector"
-        assert res.stats["kernel_fallback"] is not None
+        _assert_compiled_stats(res.stats)
         events = tr.events("kernel_fallback")
         assert len(events) == 1  # resolved once per solve, not per round
         assert events[0]["requested"] == "compiled"
         assert events[0]["resolved"] == "vector"
         validate_trace_events(tr.events())
 
-    def test_parcut_stats_schema_covers_kernel_keys(self, no_tier):
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_one_fallback_event_per_solve(self, algorithm):
+        # drivers that chain solvers (noi-viecut: VieCut seed, then NOI)
+        # must still resolve the name once
+        g = connected_gnm(120, 400, rng=3, weights=(1, 9))
+        tr = Tracer()
+        res = minimum_cut(g, algorithm=algorithm, rng=5, kernel="compiled", tracer=tr)
+        assert len(tr.events("kernel_fallback")) == 1
+        _assert_compiled_stats(res.stats)
+        validate_trace_events(tr.events())
+
+    def test_parcut_stats_schema_covers_kernel_keys(self):
         g = connected_gnm(80, 250, rng=5, weights=(1, 5))
         assert {"kernel_resolved", "kernel_fallback"} <= PARCUT_STATS_KEYS
         res = parallel_mincut(g, workers=2, rng=7, kernel="compiled")
         validate_parcut_stats(res.stats)
-        assert res.stats["kernel"] == "compiled"
-        assert res.stats["kernel_resolved"] == "vector"
-        assert res.stats["kernel_fallback"] is not None
+        _assert_compiled_stats(res.stats)
         # a native-kernel run emits the same keys with a null fallback
         res2 = parallel_mincut(g, workers=2, rng=7, kernel="vector")
         validate_parcut_stats(res2.stats)
         assert res2.stats["kernel_resolved"] == "vector"
         assert res2.stats["kernel_fallback"] is None
 
-    def test_resolved_runs_match_requested_fallback(self, no_tier):
+    def test_resolved_runs_match_requested_fallback(self):
         # compiled-with-fallback must equal an explicit vector run exactly
         g = connected_gnm(90, 300, rng=8, weights=(1, 9))
         a = parallel_mincut(g, workers=3, rng=2, kernel="vector")
@@ -180,152 +174,82 @@ class TestFallback:
         assert a.stats["pq_pops"] == b.stats["pq_pops"]
         assert a.stats["total_work"] == b.stats["total_work"]
 
+    @pytest.mark.parametrize(
+        "algorithm, kwargs",
+        [
+            ("noi", {}),
+            ("noi-viecut", {}),
+            ("parcut", {"executor": "serial", "workers": 3}),
+            # one process worker: a multi-worker processes pass races on the
+            # shared visited table, so only p = 1 makes its counters repeatable
+            ("parcut", {"executor": "processes", "workers": 1, "timeout": 120.0}),
+        ],
+        ids=["noi", "noi-viecut", "parcut-serial", "parcut-processes"],
+    )
+    def test_facade_compiled_equals_vector(self, algorithm, kwargs):
+        g = connected_gnm(100, 350, rng=6, weights=(1, 9))
+        a = minimum_cut(g, algorithm=algorithm, rng=9, kernel="vector", **kwargs)
+        b = minimum_cut(g, algorithm=algorithm, rng=9, kernel="compiled", **kwargs)
+        _assert_same_solve(a, b)
+        _assert_compiled_stats(b.stats)
+        assert a.stats["kernel_fallback"] is None
+        if "executor" in kwargs:
+            assert b.stats["final_executor"] == kwargs["executor"]
 
-# ---------------------------------------------------------------------------
-# pure-Python parity of the LP and contraction twins
-# ---------------------------------------------------------------------------
-
-
-class TestPurePythonParity:
-    def test_label_propagation_bit_equal_to_async(self, purepy):
-        from repro.viecut.label_propagation import (
-            propagate_labels,
-            propagate_labels_compiled,
-        )
-
-        for seed in range(6):
-            g = connected_gnm(100, 400, rng=seed, weights=(1, 8))
-            for iters in (1, 3):
-                rng_a = np.random.default_rng(seed * 10 + iters)
-                rng_b = np.random.default_rng(seed * 10 + iters)
-                a = propagate_labels(g, iterations=iters, rng=rng_a)
-                b = propagate_labels_compiled(g, iterations=iters, rng=rng_b)
-                assert np.array_equal(a, b), (seed, iters)
-
-    def test_label_propagation_isolated_vertices(self, purepy):
-        from repro.viecut.label_propagation import (
-            propagate_labels,
-            propagate_labels_compiled,
-        )
-
-        g = gnm(40, 25, rng=3)  # sparse: some isolated vertices
-        a = propagate_labels(g, rng=np.random.default_rng(0))
-        b = propagate_labels_compiled(g, rng=np.random.default_rng(0))
-        assert np.array_equal(a, b)
-
-    def test_cluster_labels_accepts_compiled_method(self, purepy):
-        from repro.viecut.label_propagation import cluster_labels
-
-        g = connected_gnm(80, 300, rng=4)
-        dense = cluster_labels(g, rng=1, method="compiled")
-        nc = int(dense.max()) + 1
-        assert sorted(set(dense.tolist())) == list(range(nc))
-        with pytest.raises(ValueError, match="unknown method"):
-            cluster_labels(g, rng=1, method="jit")
-
-    def test_compiled_unavailable_raises(self, no_tier):
-        from repro.viecut.label_propagation import propagate_labels_compiled
-
-        with pytest.raises(RuntimeError, match="compiled kernel tier"):
-            propagate_labels_compiled(gnm(10, 15, rng=0))
-
-    def test_contraction_element_identical(self, purepy):
-        from repro.graph.contract import contract_by_labels, contract_by_union_find
-        from repro.datastructures.union_find import UnionFind
-
-        rng = np.random.default_rng(7)
-        for seed in range(5):
-            g = connected_gnm(90, 500, rng=seed, weights=(1, 9))
-            raw = rng.integers(0, 12, size=g.n)
-            _, labels = np.unique(raw, return_inverse=True)
-            a, _ = contract_by_labels(g, labels)
-            b, _ = contract_by_labels(g, labels, kernel="compiled")
-            assert np.array_equal(a.xadj, b.xadj), seed
-            assert np.array_equal(a.adjncy, b.adjncy), seed
-            assert np.array_equal(a.adjwgt, b.adjwgt), seed
-        uf = UnionFind(g.n)
-        for v in range(0, g.n - 1, 3):
-            uf.union(v, v + 1)
-        a, _ = contract_by_union_find(g, uf)
-        b, _ = contract_by_union_find(g, uf, kernel="compiled")
-        assert np.array_equal(a.adjwgt, b.adjwgt)
-
-    def test_parallel_contract_threads_kernel(self, purepy):
-        from repro.graph.contract import contract_by_labels
-        from repro.graph.parallel_contract import parallel_contract_by_labels
-
-        g = connected_gnm(100, 600, rng=2, weights=(1, 6))
-        labels = np.arange(g.n, dtype=np.int64) % 9
-        a, _ = contract_by_labels(g, labels)
-        b, _ = parallel_contract_by_labels(g, labels, workers=4, kernel="compiled")
-        assert np.array_equal(a.xadj, b.xadj)
-        assert np.array_equal(a.adjncy, b.adjncy)
-        assert np.array_equal(a.adjwgt, b.adjwgt)
-
-
-# ---------------------------------------------------------------------------
-# warmup and engine observability
-# ---------------------------------------------------------------------------
-
-
-class TestWarmupAndStats:
-    def test_warmup_idempotent(self, purepy):
-        first = warmup()
-        assert first >= 0.0
-        before = compile_count()
-        assert warmup() == 0.0  # second call is a no-op
-        assert compile_count() == before
-
-    def test_compile_count_zero_without_numba(self):
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba installed: dispatchers have real signatures")
-        assert compile_count() == 0
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="requires numba")
-    def test_jit_warmup_compiles_once(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
-        warmup()
-        status = compiled_status()
-        assert status["warmed"] is True
-        # every jitted dispatcher has at least one signature after warmup,
-        # and re-warming adds none (compile-once per process)
-        count = compile_count()
-        assert count > 0
-        assert warmup() == 0.0
-        assert compile_count() == count
-
-    def test_compiled_status_shape(self, purepy):
-        status = compiled_status()
-        assert status["registry"] == list(KERNELS)
-        assert status["compiled_available"] is True
-        assert status["pure_python_forced"] is True
-        assert status["fallback"] is None
-        assert isinstance(status["compile_count"], int)
-
-    def test_engine_stats_expose_kernel_tier(self):
+    def test_engine_solve_resolves_compiled_to_vector(self):
         from repro.engine import SolverEngine
 
+        g = connected_gnm(60, 200, rng=1, weights=(1, 5))
         with SolverEngine(pool_size=1) as eng:
-            g = connected_gnm(40, 100, rng=1)
-            res = eng.solve(g, "noi", rng=0, kernel="compiled")
-            assert res.value == minimum_cut(g, algorithm="stoer-wagner").value
+            a = eng.solve(g, "noi-viecut", rng=0, kernel="vector", cache=False)
+            b = eng.solve(g, "noi-viecut", rng=0, kernel="compiled", cache=False)
             stats = eng.stats()
-        kernels = stats["kernels"]
-        assert kernels["registry"] == list(KERNELS)
-        assert kernels["numba"] is NUMBA_AVAILABLE
-        if not compiled_available():
-            assert kernels["fallback"] is not None
+        _assert_same_solve(a, b)
+        _assert_compiled_stats(b.stats)
+        assert "kernels" not in stats
 
-    def test_service_stats_expose_kernel_tier(self):
+    def test_service_solve_resolves_compiled_to_vector(self):
         from repro.service import ServiceClient, ServiceConfig
         from repro.service.testing import ServiceThread
 
+        g = connected_gnm(60, 200, rng=1, weights=(1, 5))
         with ServiceThread(
             engine_kwargs={"pool_size": 1},
             config=ServiceConfig(max_inflight=4, per_client_inflight=4),
         ) as st:
             with ServiceClient("127.0.0.1", st.port) as client:
+                bodies = [
+                    client.solve(g, algorithm="parcut", include_side=True, cache=False,
+                                 kwargs={"kernel": kernel, "rng": 3, "workers": 2})
+                    for kernel in ("vector", "compiled")
+                ]
                 payload = client.stats()
-        kernels = payload["engine"]["kernels"]
-        assert kernels["registry"] == list(KERNELS)
-        assert "compile_count" in kernels and "warmup_seconds" in kernels
+        (sa, _, a), (sb, _, b) = bodies
+        assert sa == sb == 200
+        assert a["value"] == b["value"]
+        assert a["side"] == b["side"]
+        assert "kernels" not in payload["engine"]
+
+    def test_cli_compiled_equals_vector(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.graph import write_metis
+
+        path = tmp_path / "g.graph"
+        write_metis(connected_gnm(60, 200, rng=4, weights=(1, 5)), path)
+        docs = {}
+        for kernel in ("vector", "compiled"):
+            out = tmp_path / f"{kernel}.json"
+            assert main([
+                "--algorithm", "parcut", "--workers", "2", "--seed", "1",
+                "--kernel", kernel, "--metrics-json", str(out),
+                "--trace", str(tmp_path / f"{kernel}.jsonl"), str(path),
+            ]) == 0
+            docs[kernel] = json.loads(out.read_text())
+        capsys.readouterr()
+        a, b = docs["vector"], docs["compiled"]
+        assert a["value"] == b["value"]
+        for key in _PQ_KEYS:
+            assert a["stats"][key] == b["stats"][key], key
+        _assert_compiled_stats(b["stats"])
+        assert b["trace_summary"]["by_kind"]["kernel_fallback"] == 1
+        assert "kernel_fallback" not in a["trace_summary"]["by_kind"]

@@ -13,7 +13,6 @@ planned, never random.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -522,19 +521,11 @@ class TestEngineLifecycle:
 # ---------------------------------------------------------------------------
 
 
-def _shm_names() -> set[str]:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # non-Linux: fall back to no leak tracking
-        return set()
-
-
 class TestConcurrentCancellation:
-    def test_cancel_half_of_concurrent_batch_pool_stays_healthy(self, dumbbell):
+    def test_cancel_half_of_concurrent_batch_pool_stays_healthy(self, dumbbell, shm_segments):
         # 8 distinct graphs through a 1-worker pool: the head request hangs
         # briefly, so the tail sits queued and is cancellable.
         graphs = [ring(8 + i) for i in range(8)]
-        shm_before = _shm_names()
         with SolverEngine(pool_size=1, max_recycles=8) as eng:
             head = eng.submit(
                 dumbbell, cache=False,
@@ -556,12 +547,13 @@ class TestConcurrentCancellation:
             assert stats["cancelled"] == len(victims)
             assert stats["pool"]["recycles"] == 0  # cancel is not a crash
             assert stats["queue_depth"] == 0 and stats["inflight"] == 0
-        assert _shm_names() <= shm_before  # no orphaned planes after close
+        # no orphaned planes after close: every plane this engine exported
+        # (at least the head's and the survivors') is unlinked
+        shm_segments.assert_all_unlinked(1 + len(survivors))
 
-    def test_cancellation_with_deadline_recycles_cleanly(self, dumbbell, path4):
+    def test_cancellation_with_deadline_recycles_cleanly(self, dumbbell, path4, shm_segments):
         # mix cancellation with a deadline-blown hang: the worker is
         # recycled, queued victims are cancelled, and nothing leaks
-        shm_before = _shm_names()
         with SolverEngine(pool_size=1, max_recycles=8) as eng:
             doomed = eng.submit(
                 dumbbell, cache=False, deadline=0.3,
@@ -576,7 +568,7 @@ class TestConcurrentCancellation:
             stats = eng.stats()
             assert stats["pool"]["recycles"] == 1
             assert stats["cancelled"] == 1
-        assert _shm_names() <= shm_before
+        shm_segments.assert_all_unlinked(2)  # dumbbell's and path4's planes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property test: every CAPFOREST kernel in the registry is interchangeable.
+"""Property test: the vector CAPFOREST kernel is interchangeable with scalar.
 
 A kernel is only admissible as a *kernel registry* entry because it is
 observationally identical to the scalar reference — same λ̂, same marked
@@ -6,12 +6,8 @@ partition, same priority-queue operation counts — on every configuration.
 These tests check that equivalence on random GNM and RMAT instances, for the
 sequential kernel, the full NOI/ParCut drivers, and the serial-executor
 parallel pass (whose round-robin pop interleaving makes worker-level parity
-deterministic).
-
-The compiled tier is exercised *genuinely* even without numba: the autouse
-fixture sets ``REPRO_COMPILED_PUREPY=1`` so the jitted kernels run as plain
-Python instead of resolving to the vector fallback — the same code paths,
-branch for branch, that numba compiles.
+deterministic).  The registry's third name, ``"compiled"``, resolves to
+vector; ``test_compiled_kernel.py`` covers that route.
 """
 
 from __future__ import annotations
@@ -26,16 +22,8 @@ from repro.core.parallel_capforest import parallel_capforest
 from repro.generators.gnm import connected_gnm, gnm
 from repro.generators.rmat import rmat
 
-
-@pytest.fixture(autouse=True)
-def _force_compiled_pure_python(monkeypatch):
-    """Run ``kernel="compiled"`` as interpreted Python so parity is provable
-    in environments without numba (the default CI jobs).  With numba present
-    the kernels run as real machine code — same assertions, harder proof."""
-    from repro.kernels import NUMBA_AVAILABLE
-
-    if not NUMBA_AVAILABLE:
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
+#: the kernels the parity checks compare: the reference first
+PARITY = ("scalar", "vector")
 
 
 def _instances():
@@ -66,10 +54,10 @@ def test_sequential_kernels_identical(pq_kind):
         lam = g.min_weighted_degree()[1] if g.n else 0
         runs = {
             kern: capforest(g, lam, pq_kind=pq_kind, rng=11, kernel=kern)
-            for kern in KERNELS
+            for kern in PARITY
         }
         a = runs["scalar"]
-        for kern in KERNELS[1:]:
+        for kern in PARITY[1:]:
             b = runs[kern]
             assert a.lambda_hat == b.lambda_hat, (name, kern)
             assert a.n_marked == b.n_marked, (name, kern)
@@ -85,7 +73,7 @@ def test_sequential_kernels_identical_fixed_bound():
     g = connected_gnm(120, 700, rng=2, weights=(1, 9))
     lam = g.min_weighted_degree()[1]
     a = capforest(g, lam, pq_kind="bqueue", rng=5, fixed_bound=True, kernel="scalar")
-    for kern in KERNELS[1:]:
+    for kern in PARITY[1:]:
         b = capforest(g, lam, pq_kind="bqueue", rng=5, fixed_bound=True, kernel=kern)
         assert a.lambda_hat == b.lambda_hat == lam, kern
         assert a.scan_order == b.scan_order, kern
@@ -106,10 +94,10 @@ def test_parallel_serial_executor_kernels_identical(pq_kind):
             kern: parallel_capforest(
                 g, lam, workers=4, pq_kind=pq_kind, executor="serial", rng=13, kernel=kern
             )
-            for kern in KERNELS
+            for kern in PARITY
         }
         a = runs["scalar"]
-        for kern in KERNELS[1:]:
+        for kern in PARITY[1:]:
             b = runs[kern]
             assert a.lambda_hat == b.lambda_hat, (name, kern)
             assert a.n_marked == b.n_marked, (name, kern)
@@ -130,10 +118,10 @@ def test_noi_driver_kernels_identical():
             continue
         vals = {
             kern: noi_mincut(g, pq_kind="bqueue", rng=3, kernel=kern)
-            for kern in KERNELS
+            for kern in PARITY
         }
         a = vals["scalar"]
-        for kern in KERNELS[1:]:
+        for kern in PARITY[1:]:
             b = vals[kern]
             assert a.value == b.value, (name, kern)
             assert a.stats["rounds"] == b.stats["rounds"], (name, kern)
@@ -146,10 +134,10 @@ def test_parcut_driver_kernels_identical():
     g = connected_gnm(150, 600, rng=6, weights=(1, 9))
     runs = {
         kern: parallel_mincut(g, workers=3, executor="serial", rng=8, kernel=kern)
-        for kern in KERNELS
+        for kern in PARITY
     }
     a = runs["scalar"]
-    for kern in KERNELS[1:]:
+    for kern in PARITY[1:]:
         b = runs[kern]
         assert a.value == b.value, kern
         assert a.stats["rounds"] == b.stats["rounds"], kern

@@ -3,13 +3,13 @@
 Covers the three segment types of :mod:`repro.graph.shm`, the process
 executor running over them under both ``fork`` and ``spawn`` start methods,
 and the supervisor-owned cleanup guarantee: killed workers must not leak
-``/dev/shm`` segments.
+shared-memory segments.  Leak checks use the ``shm_segments`` fixture
+(``conftest.py``), which records the segments this process creates.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 
 import numpy as np
 import pytest
@@ -23,13 +23,6 @@ from repro.runtime.errors import ExecutorUnavailable
 from repro.runtime.faults import FaultPlan, WorkerFault
 
 START_METHODS = [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
-
-
-def _shm_names() -> set[str]:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # non-Linux: fall back to no leak tracking
-        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +108,14 @@ def test_shared_bytes_zeroed_and_shared():
         b.unlink()
 
 
-def test_no_segments_leaked_by_lifecycle():
-    before = _shm_names()
+def test_no_segments_leaked_by_lifecycle(shm_segments):
     g = connected_gnm(40, 100, rng=2)
     sg = SharedGraph.export(g)
     pb = SharedPairsBuffer.create(2, g.n)
     sb = SharedBytes.create(g.n)
     for seg in (sg, pb, sb):
         seg.unlink()
-    assert _shm_names() <= before
+    shm_segments.assert_all_unlinked(3)
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +124,17 @@ def test_no_segments_leaked_by_lifecycle():
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
-@pytest.mark.parametrize("kernel", ["scalar", "vector", "compiled"])
-def test_processes_executor_exact_under_both_start_methods(start_method, kernel, monkeypatch):
-    if kernel == "compiled":
-        from repro.kernels import NUMBA_AVAILABLE
-
-        if not NUMBA_AVAILABLE:
-            # genuinely execute the compiled code paths (as pure Python) in
-            # worker processes: fork and spawn children inherit the env var
-            monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+def test_processes_executor_exact_under_both_start_methods(start_method, kernel, shm_segments):
     g = connected_gnm(120, 500, rng=3, weights=(1, 9))
     expected = noi_mincut(g, rng=0).value
-    before = _shm_names()
     res = parallel_mincut(
         g, workers=3, executor="processes", rng=5, kernel=kernel,
         start_method=start_method, timeout=120.0,
     )
     assert res.value == expected
     assert res.stats["start_method"] == start_method
-    assert _shm_names() <= before
+    shm_segments.assert_all_unlinked(3)
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
@@ -194,10 +178,9 @@ def test_start_method_env_override(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_killed_workers_leak_no_segments():
+def test_killed_workers_leak_no_segments(shm_segments):
     g = connected_gnm(100, 400, rng=7)
     lam = g.min_weighted_degree()[1]
-    before = _shm_names()
     plan = FaultPlan.kill(range(3), after_pops=2, executors=("processes",))
     with pytest.raises(ExecutorUnavailable):
         parallel_capforest(
@@ -206,13 +189,12 @@ def test_killed_workers_leak_no_segments():
         )
     # supervisor-owned cleanup: the coordinator unlinks every segment even
     # when every worker was hard-killed mid-scan
-    assert _shm_names() <= before
+    shm_segments.assert_all_unlinked(3)
 
 
-def test_partial_kill_keeps_survivors_and_cleans_up():
+def test_partial_kill_keeps_survivors_and_cleans_up(shm_segments):
     g = connected_gnm(100, 400, rng=8, weights=(1, 9))
     lam = g.min_weighted_degree()[1]
-    before = _shm_names()
     plan = FaultPlan.kill([0], after_pops=1, executors=("processes",))
     res = parallel_capforest(
         g, lam, workers=3, executor="processes", rng=4,
@@ -220,7 +202,7 @@ def test_partial_kill_keeps_survivors_and_cleans_up():
     )
     assert any(ev["kind"] == "crashed" for ev in res.events)
     assert len(res.workers) == 2  # survivors only
-    assert _shm_names() <= before
+    shm_segments.assert_all_unlinked(3)
 
 
 def test_corrupt_pair_row_rejected_not_merged():
@@ -236,7 +218,7 @@ def test_corrupt_pair_row_rejected_not_merged():
     assert len(res.workers) == 1
 
 
-def test_engine_cancellation_storm_leaks_no_segments():
+def test_engine_cancellation_storm_leaks_no_segments(shm_segments):
     # the engine's plane registry exports one shm segment per distinct
     # graph; cancelling half a concurrent batch mid-flight (while the
     # head request blows its deadline and recycles the worker) must
@@ -244,7 +226,6 @@ def test_engine_cancellation_storm_leaks_no_segments():
     from repro.engine import RequestCancelled, SolverEngine
 
     graphs = [connected_gnm(30 + i, 90, rng=10 + i) for i in range(6)]
-    before = _shm_names()
     with SolverEngine(pool_size=1, max_recycles=8) as eng:
         doomed = eng.submit(
             graphs[0], cache=False, deadline=0.3,
@@ -261,4 +242,4 @@ def test_engine_cancellation_storm_leaks_no_segments():
         for fut in futures[::2]:
             with pytest.raises(RequestCancelled):
                 fut.result(timeout=5)
-    assert _shm_names() <= before
+    shm_segments.assert_all_unlinked(1)
